@@ -10,10 +10,19 @@ use pressio_core::hash::hash_options_hex;
 use pressio_core::timing::{time_ms, MeanStd};
 use pressio_core::{Compressor, Data, Options};
 use pressio_dataset::DatasetPlugin;
+use pressio_faults::{Retry, RetryPolicy};
 use pressio_predict::registry::{standard_compressors, standard_schemes};
 use pressio_stats::{k_folds, medape};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Retry budget for transient dataset loads and checkpoint puts: three
+/// tries, spaced 5 ms doubling up to 80 ms.
+const TABLE2_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_ms: 5,
+    max_ms: 80,
+};
 
 /// Experiment configuration (defaults mirror the paper's §5 setup).
 #[derive(Debug, Clone)]
@@ -203,17 +212,13 @@ fn collect_truth(
                 // failing after spaced retries costs recomputation on the
                 // next run, never the campaign. The truth value itself is
                 // already in hand.
-                let mut attempt = 1;
+                let mut retry = Retry::new(TABLE2_RETRY, &o.id, "table2:checkpoint.put_retried");
                 while let Err(e) = store.put(&o.id, v.clone()) {
-                    attempt += 1;
-                    if attempt > 3 {
+                    if !retry.spend() {
                         pressio_obs::add_counter("table2:checkpoint.put_failed", 1);
                         eprintln!("warning: checkpoint put for {} failed: {e}", o.id);
                         break;
                     }
-                    pressio_obs::add_counter("table2:checkpoint.put_retried", 1);
-                    let wait = pressio_faults::backoff_ms(5, 80, attempt, &o.id);
-                    std::thread::sleep(std::time::Duration::from_millis(wait));
                 }
             }
             truths.push(Truth {
@@ -243,17 +248,15 @@ pub fn run_table2(dataset: &mut dyn DatasetPlugin, cfg: &Table2Config) -> Result
     for (i, meta) in metas.iter().enumerate() {
         // transient load failures (busy filesystem, injected faults) get
         // spaced retries before they can kill the campaign
-        let mut attempt = 1;
+        let mut retry = Retry::new(TABLE2_RETRY, &meta.name, "table2:load.retried");
         let data = loop {
             match dataset.load_data(i) {
                 Ok(d) => break d,
-                Err(_) if attempt < 3 => {
-                    attempt += 1;
-                    pressio_obs::add_counter("table2:load.retried", 1);
-                    let wait = pressio_faults::backoff_ms(5, 80, attempt, &meta.name);
-                    std::thread::sleep(std::time::Duration::from_millis(wait));
+                Err(e) => {
+                    if !retry.spend() {
+                        return Err(e);
+                    }
                 }
-                Err(e) => return Err(e),
             }
         };
         loaded.push((meta.name.clone(), data));

@@ -274,9 +274,9 @@ pub fn run_tasks(
             attempt.task.id.clone(),
             (w, attempt.task.clone(), attempt.attempt),
         );
-        worker_txs[w]
-            .send(attempt)
-            .expect("worker channel closed prematurely");
+        // a crashed worker has dropped its receiver: the attempt stays in
+        // `assigned` and the supervisor requeues it when it restarts the slot
+        let _ = worker_txs[w].send(attempt);
     };
     for task in tasks {
         dispatch(

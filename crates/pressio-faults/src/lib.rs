@@ -36,6 +36,10 @@
 //! Every fired fault increments the `pressio-obs` counter `faults:<site>`
 //! and the registry's own [`fired`] tally, so chaos tests can assert that
 //! the schedule actually exercised what it claims to.
+//!
+//! The crate also owns the retry budget the recovery paths spend:
+//! [`RetryPolicy`] and the [`Retry`] driver, whose waits are
+//! [`backoff_ms`].
 
 use pressio_core::error::{Error, Result};
 use std::collections::HashMap;
@@ -135,8 +139,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Exponential backoff with deterministic jitter, shared by the queue's
-/// task retries and the serve client's reconnect policy. Attempt 1 (the
-/// first try) waits 0; attempt `n ≥ 2` waits uniformly in
+/// task requeues and every [`Retry`] budget. Attempt 1 (the first try)
+/// waits 0; attempt `n ≥ 2` waits uniformly in
 /// `[d/2, d]` where `d = min(base_ms · 2^(n-2), max_ms)`. The jitter is a
 /// pure function of `(key, n)`, so a replayed schedule waits identically.
 pub fn backoff_ms(base_ms: u64, max_ms: u64, attempt: usize, key: &str) -> u64 {
@@ -147,6 +151,92 @@ pub fn backoff_ms(base_ms: u64, max_ms: u64, attempt: usize, key: &str) -> u64 {
     let raw = base_ms.saturating_mul(1u64 << exp).min(max_ms.max(base_ms));
     let jitter = splitmix64(hash64(key.as_bytes()) ^ attempt as u64) % (raw / 2 + 1);
     raw / 2 + jitter
+}
+
+/// Retry budget and backoff shape for a [`Retry`].
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy {
+    /// Total attempts, including the first (1 = no retries).
+    pub max_attempts: usize,
+    /// Backoff before the second attempt, doubling per attempt after.
+    pub base_ms: u64,
+    /// Ceiling on any single backoff.
+    pub max_ms: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 4,
+            base_ms: 10,
+            max_ms: 500,
+        }
+    }
+}
+
+/// The one retry driver: a per-operation attempt budget. Attempt 1 is
+/// free (the caller has already made it); every retry or reconnect that
+/// follows spends one attempt from the same budget through
+/// [`spend`](Self::spend), which counts it and waits [`backoff_ms`] with
+/// jitter seeded by the budget's key.
+#[derive(Debug)]
+pub struct Retry<'k> {
+    policy: RetryPolicy,
+    key: &'k str,
+    counter: &'static str,
+    attempt: usize,
+}
+
+impl<'k> Retry<'k> {
+    /// A fresh budget. `key` seeds the backoff jitter; `counter` names the
+    /// `pressio-obs` counter bumped once per spent retry.
+    pub fn new(policy: RetryPolicy, key: &'k str, counter: &'static str) -> Retry<'k> {
+        Retry {
+            policy,
+            key,
+            counter,
+            attempt: 1,
+        }
+    }
+
+    /// Spend the next attempt: `false` once `max_attempts` tries (0 counts
+    /// as 1) are used up; otherwise bump the counter, sleep the backoff
+    /// for the new attempt, and return `true`.
+    pub fn spend(&mut self) -> bool {
+        let Some(wait) = self.advance() else {
+            return false;
+        };
+        if wait > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(wait));
+        }
+        true
+    }
+
+    /// [`spend`](Self::spend) without the sleep: the wait it owes, or
+    /// `None` when the budget is used up.
+    fn advance(&mut self) -> Option<u64> {
+        if self.attempt >= self.policy.max_attempts.max(1) {
+            return None;
+        }
+        self.attempt += 1;
+        pressio_obs::add_counter(self.counter, 1);
+        Some(backoff_ms(
+            self.policy.base_ms,
+            self.policy.max_ms,
+            self.attempt,
+            self.key,
+        ))
+    }
+
+    /// Attempts made so far, the free first one included.
+    pub fn attempts(&self) -> usize {
+        self.attempt
+    }
+
+    /// Retries spent so far (`attempts() - 1`).
+    pub fn retries(&self) -> usize {
+        self.attempt - 1
+    }
 }
 
 fn parse_u64(site: &str, key: &str, val: &str) -> Result<u64> {
@@ -543,6 +633,59 @@ mod tests {
             .collect();
         assert!(by_key.len() > 1, "jitter ignores the key: {by_key:?}");
         assert!(backoff_ms(10, 50, 9, "t") <= 50, "cap respected");
+    }
+
+    fn no_sleep(max_attempts: usize) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_ms: 0,
+            max_ms: 0,
+        }
+    }
+
+    #[test]
+    fn retry_allows_exactly_max_attempts_tries() {
+        for max in 1..=6 {
+            let mut retry = Retry::new(no_sleep(max), "k", "test:retry");
+            let mut tries = 1; // the free first attempt
+            while retry.spend() {
+                tries += 1;
+            }
+            assert_eq!(tries, max);
+            assert_eq!(retry.attempts(), max);
+            assert_eq!(retry.retries(), max - 1);
+            assert!(!retry.spend(), "an exhausted budget stays exhausted");
+            assert_eq!(retry.attempts(), max);
+        }
+    }
+
+    #[test]
+    fn retry_treats_zero_attempts_as_one() {
+        let mut retry = Retry::new(no_sleep(0), "k", "test:retry");
+        assert!(!retry.spend());
+        assert_eq!(retry.attempts(), 1);
+        assert_eq!(retry.retries(), 0);
+    }
+
+    #[test]
+    fn retry_waits_backoff_ms_for_each_attempt() {
+        // `advance` is `spend` minus the sleep, so a real policy's waits
+        // can be checked without taking them
+        let policy = RetryPolicy::default();
+        for key in ["op", "stream.chunk", "task-7"] {
+            let mut retry = Retry::new(policy, key, "test:retry");
+            let mut waits = Vec::new();
+            while let Some(wait) = retry.advance() {
+                let attempt = retry.attempts();
+                assert_eq!(
+                    wait,
+                    backoff_ms(policy.base_ms, policy.max_ms, attempt, key)
+                );
+                waits.push(wait);
+            }
+            assert_eq!(waits.len(), policy.max_attempts - 1, "{key}");
+            assert!(waits.iter().all(|&w| w > 0), "{key}: {waits:?}");
+        }
     }
 
     #[test]

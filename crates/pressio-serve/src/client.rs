@@ -2,39 +2,20 @@
 //! end-to-end tests, and the serve benchmark.
 //!
 //! [`Client::call_resilient`] layers fault tolerance over the bare
-//! [`Client::call`]: transport errors (dropped connection, torn frame)
-//! trigger a reconnect, transient server errors (`overloaded`,
-//! `deadline_exceeded` — see [`protocol::is_retryable`]) trigger a resend,
-//! both under a [`RetryPolicy`] budget with deterministic exponential
-//! backoff + jitter (`pressio_faults::backoff_ms`). Fatal server errors
-//! (`bad_request`, `not_found`, `internal`) return immediately: resending
-//! those reproduces the same answer.
+//! [`Client::call`]: transport errors (dropped connection, torn frame —
+//! see [`protocol::is_transport`]) trigger a reconnect, transient server
+//! errors (`overloaded`, `deadline_exceeded` — see
+//! [`protocol::is_retryable`]) trigger a resend, both spending one
+//! [`Retry`] budget. Fatal server errors (`bad_request`, `not_found`,
+//! `internal`) return immediately: resending those reproduces the same
+//! answer.
 
 use crate::net::{Conn, Endpoint};
 use crate::protocol::{self, op, read_frame, write_frame};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Data, Options};
-
-/// Retry budget and backoff shape for [`Client::call_resilient`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = no retries).
-    pub max_attempts: usize,
-    /// Backoff before the second attempt, doubling per attempt after.
-    pub base_ms: u64,
-    /// Ceiling on any single backoff.
-    pub max_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_ms: 10,
-            max_ms: 500,
-        }
-    }
-}
+use pressio_faults::Retry;
+pub use pressio_faults::RetryPolicy;
 
 /// One connection to a `pressio-serve` daemon; requests are strictly
 /// serial per client (pipeline parallelism comes from multiple clients).
@@ -80,59 +61,33 @@ impl Client {
 
     /// [`call`](Self::call) with retries: reconnects on transport errors,
     /// resends on retryable server errors, backs off deterministically
-    /// between attempts. Returns the last outcome when the budget runs out.
+    /// between attempts. Returns the last outcome when the budget runs out;
+    /// a failed reconnect spends an attempt like any other.
     ///
     /// Only safe for idempotent requests (`predict`, `ping`, `stats`,
     /// `models`, `load`); a retried `train` would persist a second model
     /// version.
     pub fn call_resilient(&mut self, request: &Options, policy: &RetryPolicy) -> Result<Options> {
         let op_key = request.get_str_opt("serve:op").ok().flatten().unwrap_or("");
-        let mut attempt = 1usize;
+        let mut retry = Retry::new(*policy, op_key, "serve:client.retry");
+        let mut outcome = self.call(request);
         loop {
-            let outcome = self.call(request);
             let reconnect = match &outcome {
                 Ok(resp) if protocol::is_retryable(resp) => false,
-                Ok(_) => return outcome,
-                // transport-level failure: the connection is in an unknown
-                // state (possibly mid-frame), so it must be re-established
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => true,
-                Err(_) => return outcome,
+                Err(e) if protocol::is_transport(e) => true,
+                _ => return outcome,
             };
-            if attempt >= policy.max_attempts {
+            if !retry.spend() {
                 return outcome;
             }
-            attempt += 1;
-            pressio_obs::add_counter("serve:client.retry", 1);
-            let wait = pressio_faults::backoff_ms(policy.base_ms, policy.max_ms, attempt, op_key);
-            if wait > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(wait));
-            }
-            if reconnect {
-                // a dead connection must be replaced before the next call;
-                // failed reconnects burn attempts from the same budget
-                loop {
-                    match self.endpoint.connect() {
-                        Ok(conn) => {
-                            self.conn = conn;
-                            break;
-                        }
-                        Err(e) => {
-                            if attempt >= policy.max_attempts {
-                                return Err(e);
-                            }
-                            attempt += 1;
-                            pressio_obs::add_counter("serve:client.retry", 1);
-                            let wait = pressio_faults::backoff_ms(
-                                policy.base_ms,
-                                policy.max_ms,
-                                attempt,
-                                op_key,
-                            );
-                            std::thread::sleep(std::time::Duration::from_millis(wait));
-                        }
-                    }
-                }
-            }
+            outcome = if reconnect {
+                self.endpoint.connect().and_then(|conn| {
+                    self.conn = conn;
+                    self.call(request)
+                })
+            } else {
+                self.call(request)
+            };
         }
     }
 
@@ -327,7 +282,7 @@ impl ShardedClient {
         }
         let client = self.conns[index].as_mut().expect("connected above");
         let outcome = client.call(request);
-        if matches!(&outcome, Err(Error::Io(_)) | Err(Error::CorruptStream(_))) {
+        if outcome.as_ref().is_err_and(protocol::is_transport) {
             // poisoned connection: drop it so the next attempt reconnects
             self.conns[index] = None;
         }
@@ -353,20 +308,10 @@ impl ShardedClient {
                     // busy shard: bounded retry in place, then give up on
                     // the whole call (spilling load to another shard would
                     // dilute its cache)
+                    let mut retry = Retry::new(self.policy, &key, "serve:client.retry");
                     let mut retried = Ok(resp);
-                    for extra in 2..=self.policy.max_attempts {
-                        let wait = pressio_faults::backoff_ms(
-                            self.policy.base_ms,
-                            self.policy.max_ms,
-                            extra,
-                            &key,
-                        );
-                        std::thread::sleep(std::time::Duration::from_millis(wait));
+                    while matches!(&retried, Ok(r) if protocol::is_retryable(r)) && retry.spend() {
                         retried = self.shard_call(index, request);
-                        match &retried {
-                            Ok(r) if protocol::is_retryable(r) => continue,
-                            _ => break,
-                        }
                     }
                     return retried;
                 }

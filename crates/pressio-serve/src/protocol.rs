@@ -99,6 +99,13 @@ pub fn is_retryable(resp: &Options) -> bool {
             .is_some_and(is_retryable_code)
 }
 
+/// Whether a client-side error is transport-class (dropped connection,
+/// torn frame): the connection is in an unknown state, possibly
+/// mid-frame, and must be re-established before a resend.
+pub fn is_transport(err: &Error) -> bool {
+    matches!(err, Error::Io(_) | Error::CorruptStream(_))
+}
+
 /// Serialize one frame (length prefix + JSON payload) without writing it.
 pub fn frame_bytes(msg: &Options) -> Result<Vec<u8>> {
     let json = msg.to_json()?;
@@ -326,5 +333,8 @@ mod tests {
         }
         // non-error responses are never "retryable"
         assert!(!is_retryable(&Options::new().with("serve:type", "pong")));
+        assert!(is_transport(&Error::Io("reset".into())));
+        assert!(is_transport(&Error::CorruptStream("torn".into())));
+        assert!(!is_transport(&Error::TaskFailed("refused".into())));
     }
 }

@@ -3,12 +3,11 @@
 //! [`ResilientStreamSender`] wraps the bare `stream.begin` /
 //! `stream.chunk` / `stream.end` calls the way [`crate::Client::
 //! call_resilient`] wraps `query`: transient server errors (`overloaded`,
-//! `deadline_exceeded`) retry in place with deterministic seeded backoff
-//! (`pressio_faults::backoff_ms`), and transport failures (dropped
+//! `deadline_exceeded`) retry in place, and transport failures (dropped
 //! connection, torn frame, daemon crash) reconnect, `stream.resume` the
 //! session with its token, and replay from the server's authoritative
-//! acked chunk offset — all under one bounded [`RetryPolicy`] budget per
-//! operation.
+//! acked chunk offset — every retry, reconnect and resume spending one
+//! [`Retry`] budget per operation, with deterministic seeded backoff.
 //!
 //! The sender mints the session token itself and passes it to
 //! `stream.begin`, so even a begin whose response is lost in a crash
@@ -22,9 +21,10 @@
 
 use crate::client::{Client, RetryPolicy};
 use crate::net::Endpoint;
-use crate::protocol::{self, code};
+use crate::protocol::{self, code, op};
 use pressio_core::error::{Error, Result};
 use pressio_core::{Data, Options};
+use pressio_faults::Retry;
 
 /// A stream sender that survives disconnects, daemon crashes, and
 /// transient overload. See the module docs for the protocol walkthrough.
@@ -99,29 +99,17 @@ impl ResilientStreamSender {
         self.retries
     }
 
-    fn backoff(&mut self, attempt: usize, key: &str) {
-        self.retries += 1;
-        pressio_obs::add_counter("serve:sender.retry", 1);
-        let wait =
-            pressio_faults::backoff_ms(self.policy.base_ms, self.policy.max_ms, attempt, key);
-        if wait > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(wait));
-        }
-    }
-
     /// Ensure a live connection, resuming the session when the previous
-    /// transport died mid-stream. Burns attempts from the shared budget.
-    fn ensure_ready(&mut self, attempt: &mut usize) -> Result<()> {
+    /// transport died mid-stream. Spends attempts from the caller's budget.
+    fn ensure_ready(&mut self, retry: &mut Retry) -> Result<()> {
         loop {
             if self.client.is_none() {
                 match Client::connect(&self.endpoint) {
                     Ok(client) => self.client = Some(client),
                     Err(e) => {
-                        if *attempt >= self.policy.max_attempts {
+                        if !retry.spend() {
                             return Err(e);
                         }
-                        *attempt += 1;
-                        self.backoff(*attempt, "stream.connect");
                         continue;
                     }
                 }
@@ -133,18 +121,13 @@ impl ResilientStreamSender {
             let client = self.client.as_mut().expect("connected above");
             match client.stream_resume(&self.stream_id, &self.token, self.progress) {
                 Ok(resp) if protocol::is_retryable(&resp) => {
-                    if *attempt >= self.policy.max_attempts {
+                    if !retry.spend() {
                         return Err(Error::TaskFailed(format!(
                             "stream.resume still rejected after {} attempts: {}",
-                            *attempt,
-                            resp.get_str_opt("serve:message")
-                                .ok()
-                                .flatten()
-                                .unwrap_or("")
+                            retry.attempts(),
+                            message(&resp)
                         )));
                     }
-                    *attempt += 1;
-                    self.backoff(*attempt, "stream.resume");
                 }
                 // past-end rejection carrying the authoritative acked
                 // offset: our progress outran the durable journal (torn
@@ -159,16 +142,12 @@ impl ResilientStreamSender {
                         .ok()
                         .flatten()
                         .expect("checked in guard");
-                    if *attempt >= self.policy.max_attempts || server_acked >= self.progress {
+                    if server_acked >= self.progress || !retry.spend() {
                         return Err(Error::TaskFailed(format!(
                             "stream.resume refused: {}",
-                            resp.get_str_opt("serve:message")
-                                .ok()
-                                .flatten()
-                                .unwrap_or("")
+                            message(&resp)
                         )));
                     }
-                    *attempt += 1;
                     self.progress = server_acked;
                 }
                 Ok(resp)
@@ -179,10 +158,7 @@ impl ResilientStreamSender {
                     return Err(Error::TaskFailed(format!(
                         "stream.resume refused ({}): {}",
                         resp.get_str_opt("serve:code").ok().flatten().unwrap_or("?"),
-                        resp.get_str_opt("serve:message")
-                            .ok()
-                            .flatten()
-                            .unwrap_or("")
+                        message(&resp)
                     )));
                 }
                 Ok(resp) => {
@@ -198,30 +174,34 @@ impl ResilientStreamSender {
                     self.need_resume = false;
                     return Ok(());
                 }
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => {
+                Err(e) if protocol::is_transport(&e) => {
                     self.client = None;
-                    if *attempt >= self.policy.max_attempts {
+                    if !retry.spend() {
                         return Err(Error::Io(format!(
                             "stream.resume transport failed after {} attempts",
-                            *attempt
+                            retry.attempts()
                         )));
                     }
-                    *attempt += 1;
-                    self.backoff(*attempt, "stream.resume");
                 }
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// One resilient request round trip. `fatal_ok` lets `stream.end`
-    /// treat a `not_found` after a reconnect as success (the ambiguous
-    /// window where the previous attempt's response was lost).
+    /// One resilient request round trip for `op_key` (`stream.begin`,
+    /// `stream.chunk` or `stream.end`) under a fresh retry budget, whose
+    /// spent retries are added to [`retries`](Self::retries).
     fn call_with_recovery(&mut self, request: &Options, op_key: &str) -> Result<Options> {
-        let mut attempt = 1usize;
+        let mut retry = Retry::new(self.policy, op_key, "serve:sender.retry");
+        let outcome = self.recover(request, op_key, &mut retry);
+        self.retries += retry.retries() as u64;
+        outcome
+    }
+
+    fn recover(&mut self, request: &Options, op_key: &str, retry: &mut Retry) -> Result<Options> {
         loop {
-            self.ensure_ready(&mut attempt)?;
-            if op_key == "stream.chunk" {
+            self.ensure_ready(retry)?;
+            if op_key == op::STREAM_CHUNK {
                 if let Ok(Some(seq)) = request.get_u64_opt("stream:seq") {
                     if seq > self.progress + 1 {
                         // a resume rewound progress below this chunk (the
@@ -238,37 +218,49 @@ impl ResilientStreamSender {
             let client = self.client.as_mut().expect("ensure_ready connected");
             match client.call(request) {
                 Ok(resp) if protocol::is_retryable(&resp) => {
-                    if attempt >= self.policy.max_attempts {
+                    if !retry.spend() {
                         return Ok(resp);
                     }
-                    attempt += 1;
-                    self.backoff(attempt, op_key);
                 }
                 // the in-memory session vanished (shard crash/respawn or
                 // reap): resume — the journal rehydrates it — then retry
                 Ok(resp)
                     if protocol::is_error(&resp, code::NOT_FOUND)
                         && self.begun
-                        && op_key == "stream.chunk" =>
+                        && op_key == op::STREAM_CHUNK =>
                 {
-                    if attempt >= self.policy.max_attempts {
+                    if !retry.spend() {
                         return Ok(resp);
                     }
-                    attempt += 1;
                     self.need_resume = true;
-                    self.backoff(attempt, op_key);
+                }
+                // "already open" after a transport retry means our earlier
+                // begin landed but its response was lost: resume instead
+                Ok(resp)
+                    if op_key == op::STREAM_BEGIN
+                        && protocol::is_error(&resp, code::BAD_REQUEST)
+                        && message(&resp).contains("already open") =>
+                {
+                    self.begun = true;
+                    self.need_resume = true;
+                    self.ensure_ready(retry)?;
+                    return Ok(Options::new()
+                        .with("serve:type", "stream.begun")
+                        .with("stream:id", self.stream_id.as_str())
+                        .with("stream:token", self.token.as_str())
+                        .with("stream:acked", self.progress)
+                        .with("stream:resumed", true));
                 }
                 Ok(resp) => return Ok(resp),
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => {
+                Err(e) if protocol::is_transport(&e) => {
                     self.client = None;
                     self.need_resume = true;
-                    if attempt >= self.policy.max_attempts {
+                    if !retry.spend() {
                         return Err(Error::Io(format!(
-                            "{op_key} transport failed after {attempt} attempts"
+                            "{op_key} transport failed after {} attempts",
+                            retry.attempts()
                         )));
                     }
-                    attempt += 1;
-                    self.backoff(attempt, op_key);
                 }
                 Err(e) => return Err(e),
             }
@@ -281,60 +273,14 @@ impl ResilientStreamSender {
     pub fn begin(&mut self, extra: &Options) -> Result<Options> {
         let request = extra
             .clone()
-            .with("serve:op", crate::protocol::op::STREAM_BEGIN)
+            .with("serve:op", op::STREAM_BEGIN)
             .with("stream:id", self.stream_id.as_str())
             .with("stream:token", self.token.as_str());
-        let mut attempt = 1usize;
-        loop {
-            self.ensure_ready(&mut attempt)?;
-            let client = self.client.as_mut().expect("ensure_ready connected");
-            match client.call(&request) {
-                Ok(resp) if protocol::is_retryable(&resp) => {
-                    if attempt >= self.policy.max_attempts {
-                        return Ok(resp);
-                    }
-                    attempt += 1;
-                    self.backoff(attempt, "stream.begin");
-                }
-                // "already open" after a transport retry means our earlier
-                // begin landed but its response was lost: resume instead
-                Ok(resp)
-                    if protocol::is_error(&resp, code::BAD_REQUEST)
-                        && resp
-                            .get_str_opt("serve:message")
-                            .ok()
-                            .flatten()
-                            .is_some_and(|m| m.contains("already open")) =>
-                {
-                    self.begun = true;
-                    self.need_resume = true;
-                    self.ensure_ready(&mut attempt)?;
-                    return Ok(Options::new()
-                        .with("serve:type", "stream.begun")
-                        .with("stream:id", self.stream_id.as_str())
-                        .with("stream:token", self.token.as_str())
-                        .with("stream:acked", self.progress)
-                        .with("stream:resumed", true));
-                }
-                Ok(resp) => {
-                    if resp.get_str_opt("serve:type").ok().flatten() == Some("stream.begun") {
-                        self.begun = true;
-                    }
-                    return Ok(resp);
-                }
-                Err(Error::Io(_)) | Err(Error::CorruptStream(_)) => {
-                    self.client = None;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(Error::Io(format!(
-                            "stream.begin transport failed after {attempt} attempts"
-                        )));
-                    }
-                    attempt += 1;
-                    self.backoff(attempt, "stream.begin");
-                }
-                Err(e) => return Err(e),
-            }
+        let resp = self.call_with_recovery(&request, op::STREAM_BEGIN)?;
+        if resp.get_str_opt("serve:type").ok().flatten() == Some("stream.begun") {
+            self.begun = true;
         }
+        Ok(resp)
     }
 
     /// Send chunk `seq` (must equal [`next_seq`](Self::next_seq)). On
@@ -356,7 +302,7 @@ impl ResilientStreamSender {
             });
         }
         let request = Client::stream_chunk_request(&self.stream_id, seq, chunk, extra);
-        let resp = self.call_with_recovery(&request, "stream.chunk")?;
+        let resp = self.call_with_recovery(&request, op::STREAM_CHUNK)?;
         if resp.get_str_opt("serve:type").ok().flatten() == Some("stream.prediction") {
             self.progress = self.progress.max(seq);
             if resp.get_bool_opt("stream:replayed").ok().flatten() == Some(true) {
@@ -372,10 +318,18 @@ impl ResilientStreamSender {
     /// summary mattered.
     pub fn end(&mut self) -> Result<Options> {
         let request = Options::new()
-            .with("serve:op", crate::protocol::op::STREAM_END)
+            .with("serve:op", op::STREAM_END)
             .with("stream:id", self.stream_id.as_str());
-        self.call_with_recovery(&request, "stream.end")
+        self.call_with_recovery(&request, op::STREAM_END)
     }
+}
+
+/// The `serve:message` of a response, or "".
+fn message(resp: &Options) -> &str {
+    resp.get_str_opt("serve:message")
+        .ok()
+        .flatten()
+        .unwrap_or("")
 }
 
 #[cfg(test)]

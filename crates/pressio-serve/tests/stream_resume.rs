@@ -2,8 +2,9 @@
 //! lost session (byte-identical continuations), idempotent chunk replay
 //! with exactly-once online observations, typed resume rejections that
 //! leave the session intact, idle-session reaping on every stream op,
-//! and the resilient sender riding through injected overload, dropped
-//! connections, session loss, and torn journal tails.
+//! the resilient sender riding through injected overload, dropped
+//! connections, session loss, and torn journal tails, and the retry
+//! budgets of `ShardedClient` and `Client::call_resilient`.
 //!
 //! The servers run in-process, so the process-global fault registry
 //! reaches their handlers; every test takes the lock because a schedule
@@ -12,7 +13,9 @@
 use pressio_core::Options;
 use pressio_dataset::{DatasetPlugin, Hurricane};
 use pressio_serve::protocol::{code, op};
-use pressio_serve::{Client, Endpoint, ResilientStreamSender, RetryPolicy, ServeConfig, Server};
+use pressio_serve::{
+    Client, Endpoint, ResilientStreamSender, RetryPolicy, ServeConfig, Server, ShardedClient,
+};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -572,6 +575,95 @@ fn torn_journal_tail_rewinds_the_sender_and_observes_each_chunk_once() {
         6,
         "learner observations diverged from one-per-chunk"
     );
+
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sharded_client_retries_a_busy_shard_in_place_within_its_budget() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pressio_faults::clear();
+    let dir = temp_dir("sharded_busy");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    client.call(&train_request("hurr")).unwrap();
+
+    let data = chunks(2);
+    let mut sharded = ShardedClient::connect(handle.endpoint()).unwrap();
+    let begun = sharded
+        .call(
+            &extra()
+                .with("serve:op", op::STREAM_BEGIN)
+                .with("stream:id", "busy"),
+        )
+        .unwrap();
+    assert_eq!(begun.get_str("serve:type").unwrap(), "stream.begun");
+
+    // two transient rejections: the third try on the home shard lands
+    pressio_faults::configure("stream:chunk.overload=err,times=2").unwrap();
+    let resp = sharded
+        .call(&Client::stream_chunk_request(
+            "busy",
+            1,
+            &data[0],
+            &Options::new(),
+        ))
+        .unwrap();
+    assert_eq!(pressio_faults::fired("stream:chunk.overload"), 2);
+    assert_eq!(
+        resp.get_str("serve:type").unwrap(),
+        "stream.prediction",
+        "{resp}"
+    );
+
+    // a shard that stays busy: the whole budget is spent, then the last
+    // transient answer is returned as-is
+    pressio_faults::configure("stream:chunk.overload=err,times=10").unwrap();
+    let resp = sharded
+        .call(&Client::stream_chunk_request(
+            "busy",
+            2,
+            &data[1],
+            &Options::new(),
+        ))
+        .unwrap();
+    let fires = pressio_faults::fired("stream:chunk.overload");
+    pressio_faults::clear();
+    assert_eq!(fires, RetryPolicy::default().max_attempts as u64);
+    assert_eq!(
+        resp.get_str("serve:code").unwrap(),
+        code::OVERLOADED,
+        "{resp}"
+    );
+
+    client.shutdown().unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn call_resilient_spends_exactly_its_attempt_budget() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pressio_faults::clear();
+    let dir = temp_dir("client_budget");
+    let handle = Server::start(local_config(&dir)).unwrap();
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+
+    pressio_faults::configure("serve:client.request=err,times=10").unwrap();
+    let outcome = client.call_resilient(
+        &Options::new().with("serve:op", op::PING),
+        &RetryPolicy {
+            max_attempts: 3,
+            base_ms: 1,
+            max_ms: 2,
+        },
+    );
+    let fires = pressio_faults::fired("serve:client.request");
+    pressio_faults::clear();
+    assert!(outcome.is_err(), "{outcome:?}");
+    assert_eq!(fires, 3, "one fire per attempt, no more");
 
     client.shutdown().unwrap();
     handle.wait().unwrap();
